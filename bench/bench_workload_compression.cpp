@@ -113,17 +113,18 @@ int main(int argc, char** argv) {
   core::AimOptions options;
   options.num_threads = 4;
   options.compression.enabled = true;
-  options.candidate_cache = &cache;
   // Single-pass generation: the carried-cluster arithmetic is the point
   // here, and a drifted phase-1 candidate set would legitimately change
   // phase 2's whole staged-configuration context.
   options.two_phase = false;
   core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
+  core::TuningContext ctx;
+  ctx.candidate_cache = &cache;
 
   const auto run = [&](const workload::Workload& w, const char* what)
       -> core::AimRunStats {
     const auto t0 = Clock::now();
-    Result<core::AimReport> r = aim.Recommend(w, nullptr);
+    Result<core::AimReport> r = aim.Recommend(w, nullptr, ctx);
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (!r.ok()) {

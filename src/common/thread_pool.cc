@@ -74,4 +74,15 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+ThreadPool* EnsurePool(std::unique_ptr<ThreadPool>* slot, int workers) {
+  if (workers <= 1) {
+    slot->reset();
+    return nullptr;
+  }
+  if (*slot == nullptr || (*slot)->worker_count() != workers) {
+    *slot = std::make_unique<ThreadPool>(workers);
+  }
+  return slot->get();
+}
+
 }  // namespace aim::common

@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -124,6 +125,11 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };
+
+/// Returns `*slot` resized to `workers` threads, building it on first use
+/// or when the width changed. Serial mode (`workers <= 1`) frees the slot
+/// and returns nullptr. The one lazy-pool rule for every pool owner.
+ThreadPool* EnsurePool(std::unique_ptr<ThreadPool>* slot, int workers);
 
 /// Splits [0, n) into at most `pool->worker_count()` contiguous chunks and
 /// runs `fn(begin, end)` for each as one pool task, waiting for all of

@@ -29,6 +29,15 @@ void AppendUnique(std::vector<PartialOrder>* all,
 
 }  // namespace
 
+CloneValidationOptions RunValidationOptions(const AimOptions& options,
+                                            const TuningContext& ctx) {
+  CloneValidationOptions validation = options.validation;
+  validation.dedup_replay = validation.dedup_replay ||
+                            ctx.what_if_cache != nullptr ||
+                            options.what_if_cache_entries > 0;
+  return validation;
+}
+
 std::vector<SelectedQuery> AutomaticIndexManager::SelectQueries(
     const workload::Workload& workload,
     const workload::WorkloadMonitor* monitor) const {
@@ -48,29 +57,19 @@ std::vector<SelectedQuery> AutomaticIndexManager::SelectQueries(
   return selected;
 }
 
-common::ThreadPool* AutomaticIndexManager::EnsurePool() {
-  if (options_.shared_pool != nullptr) {
-    pool_.reset();
-    return options_.shared_pool;
-  }
-  if (options_.num_threads <= 1) {
-    pool_.reset();
-    return nullptr;
-  }
-  if (pool_ == nullptr ||
-      pool_->worker_count() != options_.num_threads) {
-    pool_ = std::make_unique<common::ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
+common::ThreadPool* AutomaticIndexManager::Pool(const TuningContext& ctx) {
+  return ctx.pool != nullptr
+             ? ctx.pool
+             : common::EnsurePool(&pool_, options_.num_threads);
 }
 
 Result<AimReport> AutomaticIndexManager::Recommend(
     const workload::Workload& workload,
-    const workload::WorkloadMonitor* monitor) {
+    const workload::WorkloadMonitor* monitor, const TuningContext& ctx) {
   obs::Span run_span(obs::Tracer::Get(), "aim.recommend");
   const auto t0 = std::chrono::steady_clock::now();
   AimReport report;
-  common::ThreadPool* pool = EnsurePool();
+  common::ThreadPool* pool = Pool(ctx);
 
   // Line 0 (extension): workload compression — fold the interval's raw
   // statements into weighted cluster representatives, so every later
@@ -109,13 +108,13 @@ Result<AimReport> AutomaticIndexManager::Recommend(
 
   optimizer::WhatIfOptimizer what_if(db_->catalog(), cm_);
   optimizer::WhatIfCache local_cache(options_.what_if_cache_entries);
-  optimizer::WhatIfCache* cache = options_.shared_cache != nullptr
-                                      ? options_.shared_cache
+  optimizer::WhatIfCache* cache = ctx.what_if_cache != nullptr
+                                      ? ctx.what_if_cache
                                       : &local_cache;
   const bool cache_enabled =
-      options_.shared_cache != nullptr || options_.what_if_cache_entries > 0;
+      ctx.what_if_cache != nullptr || options_.what_if_cache_entries > 0;
   if (cache_enabled) what_if.set_cache(cache);
-  // Shared caches arrive with history: report this run's activity as
+  // Handed caches arrive with history: report this run's activity as
   // deltas, and record how warm the cache was when the run began.
   const optimizer::WhatIfCacheStats cache_before = cache->stats();
   report.stats.cache_entries_at_start = cache_enabled ? cache->size() : 0;
@@ -130,7 +129,7 @@ Result<AimReport> AutomaticIndexManager::Recommend(
   // order, making the result bit-identical to the serial fallback.
   std::vector<PartialOrder> orders;
   std::unordered_set<std::string> seen;
-  CandidateCache* const ccache = options_.candidate_cache;
+  CandidateCache* const ccache = ctx.candidate_cache;
   auto generate_pass = [&](bool covering_enabled) -> Status {
     CandidateGenOptions pass_opts = options_.candidates;
     pass_opts.enable_covering = covering_enabled;
@@ -280,13 +279,12 @@ Result<AimReport> AutomaticIndexManager::Recommend(
     // Quarantined arms never re-enter the pipeline: filtering the serial
     // concrete-candidate list (not the parallel generation) keeps the
     // exclusion bit-identical at any worker count.
-    if (options_.exploration_gate != nullptr) {
+    if (ctx.gate != nullptr) {
       const size_t before = candidates.size();
       candidates.erase(
           std::remove_if(candidates.begin(), candidates.end(),
                          [&](const catalog::IndexDef& def) {
-                           return options_.exploration_gate->IsQuarantined(
-                               def);
+                           return ctx.gate->IsQuarantined(def);
                          }),
           candidates.end());
       report.exploration.candidates_quarantined =
@@ -337,9 +335,9 @@ Result<AimReport> AutomaticIndexManager::Recommend(
 
 Result<AimReport> AutomaticIndexManager::RunOnce(
     const workload::Workload& workload,
-    const workload::WorkloadMonitor* monitor) {
+    const workload::WorkloadMonitor* monitor, const TuningContext& ctx) {
   obs::Span run_span(obs::Tracer::Get(), "aim.run_once");
-  AIM_ASSIGN_OR_RETURN(AimReport report, Recommend(workload, monitor));
+  AIM_ASSIGN_OR_RETURN(AimReport report, Recommend(workload, monitor, ctx));
   const auto t0 = std::chrono::steady_clock::now();
 
   {
@@ -347,18 +345,11 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
                           &report.stats.validation_seconds);
     if (options_.validate_on_clone && !report.recommended.empty()) {
       // Line 3: materialize on a clone and keep only validated indexes.
-      // Replay dedup rides the same switch as the plan-cost cache: with
-      // memoization off the engine behaves exactly like the pre-cache
-      // one.
-      CloneValidationOptions validation_opts = options_.validation;
-      validation_opts.dedup_replay =
-          validation_opts.dedup_replay ||
-          options_.what_if_cache_entries > 0;
       AIM_ASSIGN_OR_RETURN(
           report.validation,
           ValidateOnClone(*db_, report.recommended,
                           report.selected_workload, cm_,
-                          validation_opts, EnsurePool()));
+                          RunValidationOptions(options_, ctx), Pool(ctx)));
       report.stats.indexes_rejected_by_validation =
           report.recommended.size() - report.validation.accepted.size();
       report.recommended = report.validation.accepted;
@@ -371,13 +362,13 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     }
   }
 
-  if (options_.exploration_gate != nullptr) {
+  if (ctx.gate != nullptr) {
     // Bandit admission: rank the validated set by UCB score and admit
     // under the interval's regret budget; the rest defer to the next
     // interval (by which time admitted arms have become real indexes and
     // left the candidate pool, freeing the budget).
     obs::Span gate_span(obs::Tracer::Get(), "exploration.gate");
-    ExplorationGate* gate = options_.exploration_gate;
+    ExplorationGate* gate = ctx.gate;
     AdmissionDecision decision = gate->Admit(report.recommended);
     report.exploration.gated = true;
     report.exploration.admitted = decision.admitted.size();
@@ -407,7 +398,7 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
   if (options_.deployment.ordered) {
     obs::PhaseTimer timer("aim.apply", &report.stats.apply_seconds);
     AIM_FAULT_POINT("core.apply");
-    AIM_RETURN_NOT_OK(ApplyOrdered(&report));
+    AIM_RETURN_NOT_OK(ApplyOrdered(&report, ctx));
   } else {
     obs::PhaseTimer timer("aim.apply", &report.stats.apply_seconds);
     // Materialize the production indexes atomically: a failure on the
@@ -418,38 +409,13 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     // delta catch-up + bounded-stall swap, and the rollback is
     // latch-aware so it is safe under live traffic.
     AIM_FAULT_POINT("core.apply");
-    const bool online = options_.online_apply_db != nullptr;
-    storage::Database* target = online ? options_.online_apply_db : db_;
-    storage::IndexSetTransaction txn(target,
-                                     online ? &target->latch() : nullptr);
-    RetryPolicy retry(options_.validation.retry);
-    storage::OnlineIndexBuilder builder(target, options_.online);
+    storage::Database* target = ctx.apply_db != nullptr ? ctx.apply_db : db_;
+    storage::IndexSetTransaction txn(
+        target, ctx.apply_db != nullptr ? &target->latch() : nullptr);
     for (const CandidateIndex& c : report.recommended) {
-      catalog::IndexDef def = c.def;
-      def.hypothetical = false;
-      def.id = catalog::kInvalidIndex;
-      def.created_by_automation = true;
-      if (online) {
-        Result<storage::OnlineBuildReport> built =
-            builder.Build(std::move(def), &txn);
-        if (built.ok()) {
-          const storage::OnlineBuildReport& r = built.ValueOrDie();
-          ++report.stats.online_builds;
-          report.stats.online_delta_applied +=
-              r.delta_applied + r.swap_tail_applied;
-          report.stats.online_max_stall_seconds = std::max(
-              report.stats.online_max_stall_seconds, r.stall_seconds);
-        } else if (built.status().code() != Status::Code::kAlreadyExists) {
-          return built.status();  // txn dtor rolls back prior installs
-        }
-        continue;
-      }
-      Result<catalog::IndexId> id =
-          retry.Run([&] { return txn.CreateIndex(def); });
-      if (!id.ok() &&
-          id.status().code() != Status::Code::kAlreadyExists) {
-        return id.status();  // txn destructor rolls back prior creates
-      }
+      // A failure returns through the txn destructor, which rolls back
+      // the prior installs.
+      AIM_RETURN_NOT_OK(Install(c.def, ctx, &txn, &report.stats));
     }
     txn.Commit();
     report.stats.indexes_recommended = report.recommended.size();
@@ -461,7 +427,36 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
   return report;
 }
 
-Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
+Status AutomaticIndexManager::Install(catalog::IndexDef def,
+                                      const TuningContext& ctx,
+                                      storage::IndexSetTransaction* txn,
+                                      AimRunStats* stats) {
+  def.hypothetical = false;
+  def.id = catalog::kInvalidIndex;
+  def.created_by_automation = true;
+  Status st;
+  if (ctx.apply_db != nullptr) {
+    Result<storage::OnlineBuildReport> built =
+        storage::OnlineIndexBuilder(ctx.apply_db, options_.online)
+            .Build(std::move(def), txn);
+    if (built.ok()) {
+      const storage::OnlineBuildReport& r = built.ValueOrDie();
+      ++stats->online_builds;
+      stats->online_delta_applied += r.delta_applied + r.swap_tail_applied;
+      stats->online_max_stall_seconds =
+          std::max(stats->online_max_stall_seconds, r.stall_seconds);
+    }
+    st = built.status();
+  } else {
+    st = RetryPolicy(options_.validation.retry)
+             .Run([&] { return txn->CreateIndex(def); })
+             .status();
+  }
+  return st.code() == Status::Code::kAlreadyExists ? Status::OK() : st;
+}
+
+Status AutomaticIndexManager::ApplyOrdered(AimReport* report,
+                                           const TuningContext& ctx) {
   static obs::Counter* const steps_counter =
       obs::MetricsRegistry::Global()->counter("aim.deploy.steps");
   static obs::Counter* const failures_counter =
@@ -476,10 +471,7 @@ Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
   report->deployment.modeled_time_to_half_benefit_seconds =
       plan.TimeToBenefitFraction(0.5);
 
-  const bool online = options_.online_apply_db != nullptr;
-  storage::Database* target = online ? options_.online_apply_db : db_;
-  RetryPolicy retry(options_.validation.retry);
-  storage::OnlineIndexBuilder builder(target, options_.online);
+  storage::Database* target = ctx.apply_db != nullptr ? ctx.apply_db : db_;
   std::vector<CandidateIndex> installed;
   for (const DeploymentStep& s : plan.steps) {
     DeploymentStepResult result;
@@ -504,31 +496,8 @@ Status AutomaticIndexManager::ApplyOrdered(AimReport* report) {
       // step's build on failure. Earlier commits stand — per-step
       // rollback is the point of ordered deployment.
       storage::IndexSetTransaction step_txn(
-          target, online ? &target->latch() : nullptr);
-      if (st.ok()) {
-        if (online) {
-          Result<storage::OnlineBuildReport> built =
-              builder.Build(result.def, &step_txn);
-          if (built.ok()) {
-            const storage::OnlineBuildReport& r = built.ValueOrDie();
-            ++report->stats.online_builds;
-            report->stats.online_delta_applied +=
-                r.delta_applied + r.swap_tail_applied;
-            report->stats.online_max_stall_seconds = std::max(
-                report->stats.online_max_stall_seconds, r.stall_seconds);
-          } else if (built.status().code() !=
-                     Status::Code::kAlreadyExists) {
-            st = built.status();
-          }
-        } else {
-          Result<catalog::IndexId> id =
-              retry.Run([&] { return step_txn.CreateIndex(result.def); });
-          if (!id.ok() &&
-              id.status().code() != Status::Code::kAlreadyExists) {
-            st = id.status();
-          }
-        }
-      }
+          target, ctx.apply_db != nullptr ? &target->latch() : nullptr);
+      if (st.ok()) st = Install(result.def, ctx, &step_txn, &report->stats);
       if (st.ok()) step_txn.Commit();
     }
     result.measured_build_seconds =

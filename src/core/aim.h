@@ -16,10 +16,44 @@
 #include "core/ranking.h"
 #include "core/workload_selection.h"
 #include "storage/database.h"
+#include "storage/index_transaction.h"
 #include "storage/online_index_builder.h"
 #include "workload/compression.h"
 
 namespace aim::core {
+
+/// \brief Everything one run borrows from its owner: the shared resources
+/// that outlive a single run. Options hold knobs only; lifetime,
+/// invalidation and sharing of these are the owner's job. Every field is
+/// optional — null means the run uses a private one (pool, plan-cost
+/// cache) or goes without (candidate reuse, gating, online apply).
+struct TuningContext {
+  /// Worker pool to fan out on instead of a private `num_threads` pool.
+  /// Inner tasks queue one nesting level deeper than the caller's and
+  /// waiting tasks help drain deeper work, so the fleet tuner runs tenant
+  /// ticks and their what-if work on one fixed-size pool without deadlock
+  /// (see common::ThreadPool). Decisions are bit-identical at any width.
+  common::ThreadPool* pool = nullptr;
+  /// Plan-cost cache carried across runs (the continuous tuner's
+  /// intervals, the fleet's same-schema tenants) instead of a per-run
+  /// one. The run reports its activity as deltas and never clears it.
+  optimizer::WhatIfCache* what_if_cache = nullptr;
+  /// Per-cluster candidate cache: incremental candidate generation across
+  /// intervals. Keys embed the statement, configuration, schema/stats,
+  /// and option fingerprints, so a hit is exactly what recomputation
+  /// would produce; drifted or new clusters miss and recompute.
+  CandidateCache* candidate_cache = nullptr;
+  /// Exploration gate (bandit admission + quarantine): Recommend excludes
+  /// quarantined candidates and RunOnce admits the validated set through
+  /// `Admit` before applying. Mutated only from RunOnce's serial sections.
+  ExplorationGate* gate = nullptr;
+  /// Online-apply target: RunOnce installs the accepted indexes on this
+  /// live database through OnlineIndexBuilder (side-build + delta catch-up
+  /// + bounded-stall swap under its latch()) instead of blocking
+  /// CreateIndex on the tuning database — how the continuous tuner plans
+  /// on a quiesced snapshot while installing under traffic.
+  storage::Database* apply_db = nullptr;
+};
 
 /// End-to-end configuration of one AIM run (Algorithm 1).
 struct AimOptions {
@@ -39,58 +73,30 @@ struct AimOptions {
   /// fallback (no pool, no worker clones). The pipeline is deterministic:
   /// any value produces bit-identical reports.
   int num_threads = 1;
-  /// Externally owned worker pool to fan out on instead of a private one
-  /// (`num_threads` is then ignored for pool sizing). This is how the
-  /// fleet tuner runs many tenants' inner what-if work on one shared
-  /// pool: inner tasks are queued one nesting level deeper than the
-  /// tenant-level tasks, and waiting tasks help drain deeper work, so
-  /// two-level fan-out on a single fixed-size pool cannot deadlock (see
-  /// common::ThreadPool). Determinism is unaffected — the pipeline is
-  /// bit-identical at any worker count. Null = private per-run pool.
-  common::ThreadPool* shared_pool = nullptr;
   /// Capacity (entries) of the memoizing plan-cost cache shared by all
   /// what-if clones of one run. 0 disables memoization entirely — the
   /// pre-cache engine, kept for A/B benchmarking.
   size_t what_if_cache_entries = 4096;
-  /// Externally owned plan-cost cache to use instead of a per-run one.
-  /// This is how the continuous tuner carries warm entries (and their
-  /// snapshot on disk) across intervals; the advisor never clears it —
-  /// lifetime and invalidation are the owner's job. Null = per-run cache.
-  optimizer::WhatIfCache* shared_cache = nullptr;
-  /// Online-apply target. When set, RunOnce's apply phase installs the
-  /// accepted indexes on *this* database through OnlineIndexBuilder
-  /// (side-build + delta catch-up + bounded-stall swap under its latch())
-  /// instead of blocking CreateIndex on `db`. This is how the continuous
-  /// tuner plans on a quiesced snapshot while installing on the live,
-  /// traffic-bearing database. Null = classic blocking apply on `db`.
-  storage::Database* online_apply_db = nullptr;
-  /// Build knobs for the online apply path (ignored when
-  /// `online_apply_db` is null).
+  /// Build knobs for online installs (runs whose TuningContext names an
+  /// `apply_db`).
   storage::OnlineBuildOptions online;
   /// Workload compression (the CoPhy-style pre-pass): cluster the
   /// interval's statements into templates / structural clusters and run
   /// selection → candidate generation → ranking on weighted cluster
   /// representatives, with per-cluster frequency roll-up. Off by default.
   workload::WorkloadCompressionOptions compression;
-  /// Externally owned per-cluster candidate cache — how the continuous
-  /// tuner makes candidate generation incremental across intervals. Keys
-  /// embed the statement, configuration, schema/stats, and option
-  /// fingerprints, so a hit is exactly what recomputation would produce;
-  /// drifted or new clusters miss and recompute. Null = recompute every
-  /// cluster. Lifetime and invalidation are the owner's job (the LRU ages
-  /// stale keys out on its own).
-  CandidateCache* candidate_cache = nullptr;
-  /// Externally owned exploration gate (bandit admission + quarantine).
-  /// When set, Recommend excludes quarantined candidates and RunOnce
-  /// gates the validated set through `Admit` before applying. Null = no
-  /// gating. The gate is mutated only from RunOnce's serial sections, so
-  /// the owner (the continuous tuner) needs no locking.
-  ExplorationGate* exploration_gate = nullptr;
   /// Ordered per-step deployment of the approved set (Kimura et al.).
   /// `deployment.ordered = false` keeps the classic all-or-nothing
   /// single-transaction apply.
   DeploymentOptions deployment;
 };
+
+/// The validation knobs a run uses: `options.validation` with replay
+/// dedup switched on whenever the run memoizes plan costs (a handed
+/// cache or `what_if_cache_entries > 0`). With memoization off the engine
+/// behaves exactly like the pre-cache one.
+CloneValidationOptions RunValidationOptions(const AimOptions& options,
+                                            const TuningContext& ctx);
 
 /// Run statistics, for the runtime comparisons of Fig. 4.
 struct AimRunStats {
@@ -103,7 +109,7 @@ struct AimRunStats {
   size_t indexes_recommended = 0;
   size_t indexes_rejected_by_validation = 0;
   /// Plan-cost cache activity attributable to this run (zeros when
-  /// disabled). With a shared cache these are deltas against the counters
+  /// disabled). With a handed cache these are deltas against the counters
   /// at run start, so carried-over caches don't double-count prior runs.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -163,8 +169,8 @@ struct AimReport {
   std::vector<SelectedQuery> selected_workload;
   CloneValidationResult validation;
   AimRunStats stats;
-  /// Bandit-gate admission summary (zeros unless an exploration gate was
-  /// configured for the run).
+  /// Bandit-gate admission summary (zeros unless the run's context
+  /// carried an exploration gate).
   ExplorationSummary exploration;
   /// Ordered-deployment outcome (zeros unless `deployment.ordered`).
   DeploymentReport deployment;
@@ -193,17 +199,19 @@ class AutomaticIndexManager {
       : db_(db), cm_(cm), options_(options) {}
 
   /// Lines 1–2 + ranking of Algorithm 1 (no materialization). `monitor`
-  /// may be null for pure bootstrap (weights drive the selection).
+  /// may be null for pure bootstrap (weights drive the selection). `ctx`
+  /// lends the run shared resources (see TuningContext).
   Result<AimReport> Recommend(const workload::Workload& workload,
-                              const workload::WorkloadMonitor* monitor);
+                              const workload::WorkloadMonitor* monitor,
+                              const TuningContext& ctx = {});
 
   /// Full Algorithm 1: recommend, validate on a clone, materialize the
-  /// survivors on the production database.
+  /// survivors on the production database (or on `ctx.apply_db`).
   Result<AimReport> RunOnce(const workload::Workload& workload,
-                            const workload::WorkloadMonitor* monitor);
+                            const workload::WorkloadMonitor* monitor,
+                            const TuningContext& ctx = {});
 
   const AimOptions& options() const { return options_; }
-  AimOptions* mutable_options() { return &options_; }
 
  private:
   /// Wraps every workload query as a SelectedQuery when no monitor data
@@ -212,16 +220,23 @@ class AutomaticIndexManager {
       const workload::Workload& workload,
       const workload::WorkloadMonitor* monitor) const;
 
-  /// Lazily (re)builds the worker pool to match `options_.num_threads`.
-  /// Returns nullptr in serial mode.
-  common::ThreadPool* EnsurePool();
+  /// The context's pool, else the private one sized by `num_threads`
+  /// (nullptr in serial mode).
+  common::ThreadPool* Pool(const TuningContext& ctx);
+
+  /// The one install path: builds `def` as an automation index inside
+  /// `txn` — online on `ctx.apply_db` (folding the build into `stats`),
+  /// else a retried blocking CreateIndex. An index that already exists
+  /// counts as installed.
+  Status Install(catalog::IndexDef def, const TuningContext& ctx,
+                 storage::IndexSetTransaction* txn, AimRunStats* stats);
 
   /// The ordered apply path (`options_.deployment.ordered`): plans the
   /// build order via DeploymentPlanner, then installs each step in its
   /// own IndexSetTransaction — a failed step rolls back only itself,
   /// earlier installs stay (each index was individually validated).
   /// `report->recommended` is rewritten to the installed subset.
-  Status ApplyOrdered(AimReport* report);
+  Status ApplyOrdered(AimReport* report, const TuningContext& ctx);
 
   storage::Database* db_;
   optimizer::CostModel cm_;

@@ -19,8 +19,8 @@ Result<CloneValidationResult> ValidateOnClone(
   CloneValidationResult result;
   if (selected.empty()) return result;
 
-  // Clone construction shares the MyShadow fault point: validation
-  // cannot start without its test environment.
+  // Clone construction: validation cannot start without its test
+  // environment.
   AIM_FAULT_POINT("shadow.clone");
 
   // Control clone: production as-is. Test clone: production + candidates,

@@ -71,8 +71,8 @@ struct CloneValidationResult {
 };
 
 /// \brief Line 3 of Algorithm 1: materializes the selected candidates on a
-/// *clone* of the database (the MyShadow contract, Sec. VII-B), replays
-/// the workload, and keeps only indexes the optimizer actually uses
+/// *clone* of the database (the shadow-environment contract, Sec. VII-B),
+/// replays the workload, and keeps only indexes the optimizer actually uses
 /// without regressing any query beyond λ₃ — the paper's "no regression"
 /// guarantee for production.
 ///

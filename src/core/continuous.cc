@@ -68,10 +68,9 @@ void ContinuousTuner::ObserveUsage(const workload::Workload& workload,
   }
 }
 
-void ContinuousTuner::PrepareCache(IntervalReport* report) {
+void ContinuousTuner::PrepareCache(bool handed, IntervalReport* report) {
   const bool carry = options_.carry_what_if_cache &&
-                     options_.aim.what_if_cache_entries > 0 &&
-                     options_.aim.shared_cache == nullptr;
+                     options_.aim.what_if_cache_entries > 0 && !handed;
   if (!carry) {
     cache_.reset();
     return;
@@ -248,7 +247,7 @@ void ContinuousTuner::SaveCacheSnapshot() {
 
 Result<IntervalReport> ContinuousTuner::Tick(
     const workload::Workload& workload,
-    const workload::WorkloadMonitor* monitor) {
+    const workload::WorkloadMonitor* monitor, const TuningContext& ctx) {
   static obs::Counter* const ticks =
       obs::MetricsRegistry::Global()->counter("tuner.ticks");
   static obs::Counter* const degraded_ticks =
@@ -256,7 +255,7 @@ Result<IntervalReport> ContinuousTuner::Tick(
   ticks->Add();
   obs::Span tick_span(obs::Tracer::Get(), "tuner.tick");
   IntervalReport report;
-  PrepareCache(&report);
+  PrepareCache(ctx.what_if_cache != nullptr, &report);
   PrepareGate(&report);
   // The cache/gate bookkeeping must survive a degraded-interval report
   // reset.
@@ -267,7 +266,7 @@ Result<IntervalReport> ContinuousTuner::Tick(
   tick_span.SetAttr("cache_entries_carried", cache_entries_carried);
   storage::IndexSetTransaction txn(
       db_, options_.online_apply ? &db_->latch() : nullptr);
-  Status st = TickInternal(workload, monitor, &txn, &report);
+  Status st = TickInternal(workload, monitor, ctx, &txn, &report);
   if (st.ok()) {
     txn.Commit();
     SaveCacheSnapshot();
@@ -301,7 +300,7 @@ Result<IntervalReport> ContinuousTuner::Tick(
 
 Status ContinuousTuner::TickInternal(
     const workload::Workload& workload,
-    const workload::WorkloadMonitor* monitor,
+    const workload::WorkloadMonitor* monitor, TuningContext ctx,
     storage::IndexSetTransaction* txn, IntervalReport* report) {
   AIM_FAULT_POINT("core.tick");
   // Online mode plans against a point-in-time copy taken under a brief
@@ -389,29 +388,28 @@ Status ContinuousTuner::TickInternal(
     }
   }
 
-  // Run AIM on this interval's statistics, against the carried plan-cost
-  // cache when one exists (PrepareCache already invalidated it if the
-  // schema or statistics drifted since the cached costs were computed).
-  AimOptions aim_options = options_.aim;
-  if (cache_ != nullptr) aim_options.shared_cache = cache_.get();
-  // Carried candidate cache: candidate generation reuses unchanged
+  // Run AIM on this interval's statistics with the tuner's resources
+  // filling whatever the caller did not lend: the one pool kept across
+  // ticks, the carried plan-cost cache (PrepareCache already invalidated
+  // it if the schema or statistics drifted since the cached costs were
+  // computed), and the carried candidate cache, which reuses unchanged
   // clusters across intervals and recomputes only drifted/new ones.
-  if (options_.carry_candidate_cache &&
-      options_.aim.candidate_cache == nullptr) {
+  if (ctx.pool == nullptr) {
+    ctx.pool = common::EnsurePool(&pool_, options_.aim.num_threads);
+  }
+  if (ctx.what_if_cache == nullptr) ctx.what_if_cache = cache_.get();
+  if (ctx.candidate_cache == nullptr && options_.carry_candidate_cache) {
     if (candidate_cache_ == nullptr) {
       candidate_cache_ =
           std::make_unique<CandidateCache>(options_.candidate_cache_entries);
     }
-    aim_options.candidate_cache = candidate_cache_.get();
+    ctx.candidate_cache = candidate_cache_.get();
   }
-  if (options_.online_apply) {
-    // Plan on the snapshot; install on the live database online.
-    aim_options.online_apply_db = db_;
-    aim_options.online = options_.online;
-  }
-  if (gate_ != nullptr) aim_options.exploration_gate = gate_.get();
-  AutomaticIndexManager aim(tuning_db, cm_, aim_options);
-  AIM_ASSIGN_OR_RETURN(report->aim, aim.RunOnce(workload, monitor));
+  ctx.gate = gate_.get();
+  // Online: plan on the snapshot, install on the live database.
+  ctx.apply_db = options_.online_apply ? db_ : nullptr;
+  AutomaticIndexManager aim(tuning_db, cm_, options_.aim);
+  AIM_ASSIGN_OR_RETURN(report->aim, aim.RunOnce(workload, monitor, ctx));
   if (gate_ != nullptr) {
     // Fold the interval's validated replay evidence into the admitted
     // arms' measured benefit (the bandit's reward samples).

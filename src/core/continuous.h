@@ -29,8 +29,7 @@ struct ContinuousTunerOptions {
   /// the index-configuration fingerprint (so DDL between intervals only
   /// adds new keys) and the tuner clears the cache whenever the schema
   /// or statistics drift (see Catalog::SchemaStatsFingerprint). Requires
-  /// `aim.what_if_cache_entries > 0`; ignored when the tuner is handed an
-  /// `aim.shared_cache` explicitly.
+  /// `aim.what_if_cache_entries > 0`.
   bool carry_what_if_cache = true;
   /// Keep per-cluster candidate-generation results across intervals
   /// (incremental candidate generation). Cache keys embed the statement,
@@ -39,8 +38,7 @@ struct ContinuousTunerOptions {
   /// and any interval after schema/statistics or configuration drift —
   /// miss and recompute; the bounded LRU ages stale keys out. Reuse is
   /// exact (a hit equals recomputation), so this never changes a
-  /// selection. Ignored when the tuner is handed an
-  /// `aim.candidate_cache` explicitly.
+  /// selection.
   bool carry_candidate_cache = true;
   /// Capacity of the carried candidate cache, entries (clusters × passes).
   size_t candidate_cache_entries = 8192;
@@ -60,10 +58,8 @@ struct ContinuousTunerOptions {
   /// on the live database through OnlineIndexBuilder (side-build + delta
   /// catch-up + bounded-stall swap) and GC drops go through a latch-aware
   /// transaction. Requires every concurrent writer/reader to follow the
-  /// Database latch() protocol.
+  /// Database latch() protocol. Build knobs live at `aim.online`.
   bool online_apply = false;
-  /// Build knobs for online installs (ignored unless `online_apply`).
-  storage::OnlineBuildOptions online;
   /// Bandit-guarded exploration (see ExplorationGate). When enabled the
   /// tuner owns a gate: quarantined candidates are excluded from
   /// generation, the validated set is admitted under the per-interval
@@ -114,6 +110,11 @@ struct IntervalReport {
 /// the end of every statistics interval, and garbage-collect
 /// automation-created indexes that the current workload's plans no longer
 /// use — entirely or in their trailing key parts.
+///
+/// The tuner owns one worker pool (sized by `aim.num_threads`, kept
+/// across ticks), the carried plan-cost and candidate caches, the
+/// exploration gate, and — online — the live database as apply target,
+/// and lends them to each interval's AIM run through a TuningContext.
 class ContinuousTuner {
  public:
   ContinuousTuner(storage::Database* db, optimizer::CostModel cm,
@@ -128,22 +129,24 @@ class ContinuousTuner {
   /// Result. Instead the interval's changes are rolled back and the
   /// returned report is marked `degraded` with the failure status — the
   /// production configuration is untouched and the tuner stays usable.
+  ///
+  /// `ctx` lets an owner lend this interval its pool, plan-cost cache, or
+  /// candidate cache in place of the tuner's own (the fleet tuner hands
+  /// its shared pool and schema-keyed cache); a handed cache is neither
+  /// carried, invalidated, nor persisted by the tuner. The gate and the
+  /// apply target are always the tuner's own.
   Result<IntervalReport> Tick(const workload::Workload& workload,
-                              const workload::WorkloadMonitor* monitor);
+                              const workload::WorkloadMonitor* monitor,
+                              const TuningContext& ctx = {});
 
-  /// The carried plan-cost cache; null when carrying is disabled. Exposed
-  /// for tests and benchmarks asserting warm-start behaviour.
+  /// The carried plan-cost cache; null when carrying is disabled or the
+  /// last Tick was handed a cache. Exposed for tests and benchmarks
+  /// asserting warm-start behaviour.
   const optimizer::WhatIfCache* cache() const { return cache_.get(); }
 
-  /// Mutable options, for owners that re-point per-interval resources —
-  /// the fleet tuner injects the schema-keyed shared `aim.shared_cache`
-  /// (and the fleet-wide `aim.shared_pool`) before each Tick. Changing
-  /// tuning semantics mid-flight is the caller's responsibility.
-  ContinuousTunerOptions* mutable_options() { return &options_; }
-
   /// The carried candidate cache; null until the first Tick (or when
-  /// carrying is disabled). Exposed for tests asserting incremental
-  /// candidate generation.
+  /// carrying is disabled or the Tick was handed one). Exposed for tests
+  /// asserting incremental candidate generation.
   const CandidateCache* candidate_cache() const {
     return candidate_cache_.get();
   }
@@ -169,10 +172,11 @@ class ContinuousTuner {
                     const storage::Database& db);
 
   /// The fallible interval body; all index changes go through `txn` so
-  /// Tick can roll them back on failure.
+  /// Tick can roll them back on failure. `ctx` is the caller's context;
+  /// the tuner fills its empty fields before the interval's AIM run.
   Status TickInternal(const workload::Workload& workload,
                       const workload::WorkloadMonitor* monitor,
-                      storage::IndexSetTransaction* txn,
+                      TuningContext ctx, storage::IndexSetTransaction* txn,
                       IntervalReport* report);
 
   /// Drops usage entries whose index no longer exists (rolled-back or
@@ -181,10 +185,11 @@ class ContinuousTuner {
 
   /// Readies `cache_` for the coming interval: allocates it on first use,
   /// loads the snapshot exactly once, and clears carried entries when the
-  /// schema/statistics fingerprint drifted. Fills the report's cache
-  /// bookkeeping fields (they survive a degraded-interval reset because
-  /// Tick re-applies them after the reset).
-  void PrepareCache(IntervalReport* report);
+  /// schema/statistics fingerprint drifted. Frees it when carrying is off
+  /// or `handed` (the interval uses a caller's cache). Fills the report's
+  /// cache bookkeeping fields (they survive a degraded-interval reset
+  /// because Tick re-applies them after the reset).
+  void PrepareCache(bool handed, IntervalReport* report);
 
   /// Best-effort snapshot write after a successful interval; failures are
   /// logged, never surfaced (the cache stays warm in memory regardless).
@@ -213,6 +218,8 @@ class ContinuousTuner {
   storage::Database* db_;
   optimizer::CostModel cm_;
   ContinuousTunerOptions options_;
+  /// The tuner's own worker pool, used when a Tick is handed none.
+  std::unique_ptr<common::ThreadPool> pool_;
   std::map<catalog::IndexId, UsageState> usage_;
   /// Carried across Ticks; keyed entries stay valid across index DDL, so
   /// only schema/statistics drift clears it.

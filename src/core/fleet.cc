@@ -91,7 +91,9 @@ uint64_t FleetCacheStore::snapshot_loads() const {
 // FleetTuner
 
 FleetTuner::FleetTuner(FleetTunerOptions options)
-    : options_(std::move(options)), cache_store_(options_.cache_store) {}
+    : options_(std::move(options)),
+      cache_store_(options_.cache_store),
+      pool_(options_.num_threads) {}
 
 void FleetTuner::AddTenant(std::string name, storage::Database* db,
                            const workload::Workload* workload,
@@ -105,14 +107,6 @@ void FleetTuner::AddTenant(std::string name, storage::Database* db,
                                               options_.tuner);
   t.cost_estimate = options_.default_cost_seconds;
   tenants_.push_back(std::move(t));
-}
-
-common::ThreadPool* FleetTuner::EnsurePool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<common::ThreadPool>(
-        options_.num_threads <= 1 ? 0 : options_.num_threads);
-  }
-  return pool_.get();
 }
 
 double FleetTuner::BenefitEstimate(const TenantState& t) const {
@@ -215,17 +209,14 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
 
   // ---- Bind shared resources (serial: GetOrCreate may touch disk and
   // the "did the store already exist" observation must be race-free).
-  common::ThreadPool* pool = EnsurePool();
+  std::vector<TuningContext> contexts(tenants_.size());
   for (size_t i : admitted) {
-    TenantState& t = tenants_[i];
     TenantOutcome& out = report.outcomes[i];
     const size_t stores_before = cache_store_.store_count();
-    optimizer::WhatIfCache* cache =
+    contexts[i].pool = &pool_;
+    contexts[i].what_if_cache =
         cache_store_.GetOrCreate(out.schema_fingerprint);
     out.cache_shared = cache_store_.store_count() == stores_before;
-    ContinuousTunerOptions* topts = t.tuner->mutable_options();
-    topts->aim.shared_cache = cache;
-    topts->aim.shared_pool = pool;
   }
 
   // ---- Tune the admitted tenants in parallel. -----------------------
@@ -248,11 +239,13 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
     for (size_t i : admitted) {
       TenantState& t = tenants_[i];
       TickResult& slot = results[i];
-      futures.push_back(pool->Submit([&t, &slot, parent] {
+      const TuningContext& ctx = contexts[i];
+      futures.push_back(pool_.Submit([&t, &slot, &ctx, parent] {
         obs::Span tenant_span(obs::Tracer::Get(), "fleet.tenant", parent);
         tenant_span.SetAttr("tenant", t.name);
         const auto start = std::chrono::steady_clock::now();
-        Result<IntervalReport> tick = t.tuner->Tick(*t.workload, t.monitor);
+        Result<IntervalReport> tick =
+            t.tuner->Tick(*t.workload, t.monitor, ctx);
         slot.seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -267,7 +260,7 @@ Result<FleetIntervalReport> FleetTuner::RunInterval() {
       }));
     }
     for (std::future<void>& f : futures) {
-      pool->WaitHelping(f);
+      pool_.WaitHelping(f);
       f.get();
     }
   }

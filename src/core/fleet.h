@@ -89,9 +89,9 @@ class FleetCacheStore {
 };
 
 struct FleetTunerOptions {
-  /// Per-tenant tuner template. `aim.shared_cache` and `aim.shared_pool`
-  /// are overwritten per tick by the fleet (schema-keyed store cache,
-  /// fleet-wide pool); everything else applies to every tenant alike.
+  /// Per-tenant tuner template, applied to every tenant alike. Each tick
+  /// runs on the fleet's pool and the tenant's schema-keyed store cache,
+  /// both lent through the tick's TuningContext.
   ContinuousTunerOptions tuner;
   optimizer::CostModel cost_model = optimizer::CostModel();
   FleetBudget budget;
@@ -201,7 +201,6 @@ class FleetTuner {
     bool ever_tuned = false;
   };
 
-  common::ThreadPool* EnsurePool();
   double Priority(const TenantState& t, double benefit) const;
   /// Benefit signal for ranking: last report's measured per-query CPU
   /// deltas (or the never-tuned prior) plus the aggregator's view.
@@ -211,7 +210,9 @@ class FleetTuner {
   std::vector<TenantState> tenants_;
   support::FleetAggregator aggregator_;
   FleetCacheStore cache_store_;
-  std::unique_ptr<common::ThreadPool> pool_;
+  /// The one pool both fan-out levels run on, `num_threads` wide (no
+  /// threads at 1: every task runs inline).
+  common::ThreadPool pool_;
   int interval_ = 0;
 };
 

@@ -22,18 +22,6 @@ std::string Key(const catalog::IndexDef& def) {
 }
 }  // namespace
 
-common::ThreadPool* ShardedIndexManager::EnsurePool() {
-  if (options_.aim.num_threads <= 1) {
-    pool_.reset();
-    return nullptr;
-  }
-  if (pool_ == nullptr ||
-      pool_->worker_count() != options_.aim.num_threads) {
-    pool_ = std::make_unique<common::ThreadPool>(options_.aim.num_threads);
-  }
-  return pool_.get();
-}
-
 Result<ShardedReport> ShardedIndexManager::Recommend(
     const workload::Workload& workload, const std::vector<Shard>& shards,
     optimizer::CostModel cm) {
@@ -61,9 +49,11 @@ Result<ShardedReport> ShardedIndexManager::Recommend(
   aim_options.ranking.storage_replication_factor =
       static_cast<double>(shards.size());
   AutomaticIndexManager aim(shards[0].db, cm, aim_options);
-  AIM_ASSIGN_OR_RETURN(report.aim,
-                       aim.Recommend(workload,
-                                     any_stats ? &aggregate : nullptr));
+  TuningContext ctx;
+  ctx.pool = common::EnsurePool(&pool_, options_.aim.num_threads);
+  AIM_ASSIGN_OR_RETURN(
+      report.aim,
+      aim.Recommend(workload, any_stats ? &aggregate : nullptr, ctx));
   return report;
 }
 
@@ -85,11 +75,10 @@ Result<ShardedReport> ShardedIndexManager::RunOnce(
   // regression detector to revert bad changes after the fact.
   const size_t shards_to_validate =
       options_.comprehensive_validation ? shards.size() : 1;
-  common::ThreadPool* pool = EnsurePool();
-  CloneValidationOptions validation_opts = options_.aim.validation;
-  validation_opts.dedup_replay = validation_opts.dedup_replay ||
-                                 options_.aim.what_if_cache_entries > 0 ||
-                                 options_.aim.shared_cache != nullptr;
+  common::ThreadPool* pool =
+      common::EnsurePool(&pool_, options_.aim.num_threads);
+  const CloneValidationOptions validation_opts =
+      RunValidationOptions(options_.aim, TuningContext{});
 
   // Fan the clone validations out over the pool, one slot per shard.
   // When several shards validate concurrently each validation replays

@@ -91,11 +91,9 @@ class ShardedIndexManager {
                                 optimizer::CostModel cm);
 
  private:
-  /// Lazily (re)builds the shard fan-out pool to match
-  /// `options_.aim.num_threads`. Returns nullptr in serial mode.
-  common::ThreadPool* EnsurePool();
-
   ShardedOptions options_;
+  /// The one pool of a sharded run (`aim.num_threads` wide, null when
+  /// serial): shard fan-out and the inner Recommend both run on it.
   std::unique_ptr<common::ThreadPool> pool_;
 };
 

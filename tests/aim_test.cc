@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
+#include "common/rng.h"
 #include "core/aim.h"
 #include "core/continuous.h"
 #include "executor/executor.h"
@@ -448,6 +450,130 @@ TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
     EXPECT_FALSE(r.ValueOrDie().degraded);
     EXPECT_EQ(r.ValueOrDie().cache_entries_carried, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// TuningContext: lent resources never change a decision
+
+/// Everything one interval decided and measured, plus the run's cache
+/// activity. Leaves out wall-clock fields and the tuner-side bookkeeping
+/// of its own carried cache (`cache_entries_carried`, `cache_invalidated`),
+/// which describes a cache a lending caller replaces.
+std::string IntervalSignature(const IntervalReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << "degraded=" << r.degraded << " error=" << r.error.ToString()
+      << "\n";
+  auto def = [&out](const char* what, const catalog::IndexDef& d) {
+    out << what << " t" << d.table;
+    for (catalog::ColumnId c : d.columns) out << "," << c;
+  };
+  for (const CandidateIndex& c : r.aim.recommended) {
+    def("applied", c.def);
+    out << " b=" << c.benefit << " m=" << c.maintenance << "\n";
+  }
+  for (const catalog::IndexDef& d : r.dropped) {
+    def("dropped", d);
+    out << "\n";
+  }
+  for (const auto& [old_def, new_def] : r.shrunk) {
+    def("shrunk", old_def);
+    def(" to", new_def);
+    out << "\n";
+  }
+  for (const QueryValidation& q : r.aim.validation.per_query) {
+    out << "q " << q.fingerprint << " " << q.cpu_before << " "
+        << q.cpu_after << " " << q.regressed << q.improved << "\n";
+  }
+  const AimRunStats& st = r.aim.stats;
+  out << "whatif=" << st.what_if_calls << " hits=" << st.cache_hits
+      << " misses=" << st.cache_misses << " evict=" << st.cache_evictions
+      << " at_start=" << st.cache_entries_at_start
+      << " candidates=" << st.candidates_evaluated
+      << " clusters=" << st.candgen_clusters_total << "/"
+      << st.candgen_clusters_reused << "/" << st.candgen_clusters_recomputed
+      << "\n";
+  return out.str();
+}
+
+struct ContextRun {
+  std::string transcript;
+  bool tuner_cache_null = false;
+  bool tuner_candidate_cache_null = false;
+  uint64_t what_if_hits = 0;
+  uint64_t candidate_hits = 0;
+};
+
+/// One seeded drift schedule of six ContinuousTuner ticks at 2 threads: a
+/// workload mix shift before tick 2 and a statistics refresh before tick
+/// 4, both drawn from `seed`. With `lend`, the caller owns the pool and
+/// both caches and hands them in through the TuningContext; as the
+/// caches' owner it also clears the plan-cost cache when the schema/stats
+/// fingerprint drifts, the rule the tuner applies to its own carried one.
+ContextRun RunContextSchedule(uint64_t seed, bool lend) {
+  storage::Database db = MakeUsersDb(3000);
+  workload::Workload w = SimpleWorkload();
+  ContinuousTunerOptions options;
+  options.aim.num_threads = 2;
+  ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+
+  common::ThreadPool pool(options.aim.num_threads);
+  optimizer::WhatIfCache what_if_cache(options.aim.what_if_cache_entries);
+  CandidateCache candidate_cache(options.candidate_cache_entries);
+  TuningContext ctx;
+  if (lend) {
+    ctx.pool = &pool;
+    ctx.what_if_cache = &what_if_cache;
+    ctx.candidate_cache = &candidate_cache;
+  }
+
+  Rng rng(seed);
+  uint64_t fingerprint = db.catalog().SchemaStatsFingerprint();
+  ContextRun run;
+  std::ostringstream transcript;
+  for (int tick = 0; tick < 6; ++tick) {
+    if (tick == 2) {
+      // Mix shift: a new hot template, and the old leader cools down.
+      EXPECT_TRUE(w.Add("SELECT email FROM users WHERE score = " +
+                            std::to_string(rng.UniformRange(1, 900)),
+                        static_cast<double>(rng.UniformRange(50, 200)))
+                      .ok());
+      w.queries.front().weight = 1.0;
+    }
+    if (tick == 4) {
+      db.AnalyzeAll(static_cast<int>(rng.UniformRange(4, 16)));
+    }
+    if (db.catalog().SchemaStatsFingerprint() != fingerprint) {
+      fingerprint = db.catalog().SchemaStatsFingerprint();
+      what_if_cache.Clear();
+    }
+    Result<IntervalReport> r = tuner.Tick(w, nullptr, ctx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return run;
+    transcript << "== tick " << tick << "\n"
+               << IntervalSignature(r.ValueOrDie());
+  }
+  run.transcript = transcript.str();
+  run.tuner_cache_null = tuner.cache() == nullptr;
+  run.tuner_candidate_cache_null = tuner.candidate_cache() == nullptr;
+  run.what_if_hits = what_if_cache.stats().hits;
+  run.candidate_hits = candidate_cache.stats().hits;
+  return run;
+}
+
+TEST(TuningContextTest, LentResourcesMatchPrivateOnes) {
+  const ContextRun own = RunContextSchedule(/*seed=*/29, /*lend=*/false);
+  const ContextRun lent = RunContextSchedule(/*seed=*/29, /*lend=*/true);
+  EXPECT_EQ(own.transcript, lent.transcript);
+  EXPECT_NE(own.transcript.find("applied"), std::string::npos);
+  // The tuner carries its own caches only when none is lent.
+  EXPECT_FALSE(own.tuner_cache_null);
+  EXPECT_TRUE(lent.tuner_cache_null);
+  EXPECT_TRUE(lent.tuner_candidate_cache_null);
+  // The lent caches did the work the tuner's own would have done.
+  EXPECT_EQ(own.what_if_hits, 0u);
+  EXPECT_GT(lent.what_if_hits, 0u);
+  EXPECT_GT(lent.candidate_hits, 0u);
 }
 
 }  // namespace

@@ -99,10 +99,9 @@ ContinuousTunerOptions ChaosTunerOptions(
 const char* const kFaultPoints[] = {
     "storage.create_index", "storage.build_index_entry",
     "storage.drop_index",   "executor.execute",
-    "shadow.clone",         "shadow.materialize",
-    "core.apply",           "core.tick",
-    "common.pool.dispatch", "workload.replay",
-    "whatif.cache.load",
+    "shadow.clone",         "core.apply",
+    "core.tick",            "common.pool.dispatch",
+    "workload.replay",      "whatif.cache.load",
 };
 
 /// The additional points the *sharded* pipeline crosses: losing a shard

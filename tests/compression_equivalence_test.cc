@@ -470,8 +470,9 @@ TEST(WorkloadCompressorTest, CanonicalizedInListsShareClusterAndCacheKey) {
 // Incremental candidate generation: exact reuse, exact invalidation
 
 core::AimReport MustRecommend(core::AutomaticIndexManager* aim,
-                              const workload::Workload& w) {
-  Result<core::AimReport> r = aim->Recommend(w, nullptr);
+                              const workload::Workload& w,
+                              const core::TuningContext& ctx = {}) {
+  Result<core::AimReport> r = aim->Recommend(w, nullptr, ctx);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return r.ok() ? r.MoveValue() : core::AimReport{};
 }
@@ -490,11 +491,12 @@ TEST(IncrementalCandgenTest, SecondRunServedEntirelyFromCache) {
           .ok());
 
   core::CandidateCache cache(1024);
+  core::TuningContext ctx;
+  ctx.candidate_cache = &cache;
   core::AimOptions o = BaseOptions(/*compress=*/true, /*threads=*/2, 4096);
-  o.candidate_cache = &cache;
   core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o);
 
-  const core::AimReport first = MustRecommend(&aim, w);
+  const core::AimReport first = MustRecommend(&aim, w, ctx);
   ASSERT_GT(first.stats.candgen_clusters_total, 0u);
   EXPECT_EQ(first.stats.candgen_clusters_reused, 0u);
   EXPECT_EQ(first.stats.candgen_clusters_recomputed,
@@ -502,7 +504,7 @@ TEST(IncrementalCandgenTest, SecondRunServedEntirelyFromCache) {
 
   // Nothing changed: every cluster of both generation passes is a hit,
   // and the recommendation is bit-for-bit the first one.
-  const core::AimReport second = MustRecommend(&aim, w);
+  const core::AimReport second = MustRecommend(&aim, w, ctx);
   EXPECT_EQ(second.stats.candgen_clusters_total,
             first.stats.candgen_clusters_total);
   EXPECT_EQ(second.stats.candgen_clusters_reused,
@@ -522,16 +524,17 @@ TEST(IncrementalCandgenTest, OnlyDriftedClustersRecompute) {
   ASSERT_TRUE(w.Add("SELECT id FROM users WHERE score > 500", 10.0).ok());
 
   core::CandidateCache cache(1024);
+  core::TuningContext ctx;
+  ctx.candidate_cache = &cache;
   // Single-pass generation: with two-phase on, a workload change can
   // legitimately alter the staged phase-1 configuration and so the phase-2
   // context fingerprint — correct (phase 2's input changed) but noisy for
   // exact per-cluster counting. One pass makes the arithmetic exact.
   core::AimOptions o = BaseOptions(/*compress=*/true, /*threads=*/1, 4096);
-  o.candidate_cache = &cache;
   o.two_phase = false;
   core::AutomaticIndexManager aim(&db, optimizer::CostModel(), o);
 
-  const core::AimReport first = MustRecommend(&aim, w);
+  const core::AimReport first = MustRecommend(&aim, w, ctx);
   EXPECT_EQ(first.stats.candgen_clusters_total, 3u);
   EXPECT_EQ(first.stats.candgen_clusters_recomputed, 3u);
 
@@ -539,7 +542,7 @@ TEST(IncrementalCandgenTest, OnlyDriftedClustersRecompute) {
   ASSERT_TRUE(
       w.Add("SELECT id FROM users WHERE created_at BETWEEN 1 AND 9", 5.0)
           .ok());
-  const core::AimReport drifted = MustRecommend(&aim, w);
+  const core::AimReport drifted = MustRecommend(&aim, w, ctx);
   EXPECT_EQ(drifted.stats.candgen_clusters_total, 4u);
   EXPECT_EQ(drifted.stats.candgen_clusters_reused, 3u);
   EXPECT_EQ(drifted.stats.candgen_clusters_recomputed, 1u);
@@ -547,18 +550,16 @@ TEST(IncrementalCandgenTest, OnlyDriftedClustersRecompute) {
   // Statistics drift: every carried key embeds the old schema/stats
   // fingerprint, so the whole interval recomputes.
   db.AnalyzeAll(/*histogram_buckets=*/8);
-  const core::AimReport refreshed = MustRecommend(&aim, w);
+  const core::AimReport refreshed = MustRecommend(&aim, w, ctx);
   EXPECT_EQ(refreshed.stats.candgen_clusters_total, 4u);
   EXPECT_EQ(refreshed.stats.candgen_clusters_reused, 0u);
   EXPECT_EQ(refreshed.stats.candgen_clusters_recomputed, 4u);
 
   // And reuse resumes once the statistics are stable again — with the
   // same selection a cold cache would produce.
-  const core::AimReport resumed = MustRecommend(&aim, w);
+  const core::AimReport resumed = MustRecommend(&aim, w, ctx);
   EXPECT_EQ(resumed.stats.candgen_clusters_reused, 4u);
-  core::AimOptions cold = o;
-  cold.candidate_cache = nullptr;
-  core::AutomaticIndexManager cold_aim(&db, optimizer::CostModel(), cold);
+  core::AutomaticIndexManager cold_aim(&db, optimizer::CostModel(), o);
   EXPECT_EQ(IndexSetSignature(MustRecommend(&cold_aim, w).recommended),
             IndexSetSignature(resumed.recommended));
 }

@@ -239,10 +239,11 @@ TEST(EquivalenceTest, ExplorationAndOrderedDeployBitIdentical) {
     core::AimOptions options;
     options.num_threads = threads;
     options.what_if_cache_entries = cache_entries;
-    options.exploration_gate = &gate;
     options.deployment.ordered = true;
+    core::TuningContext ctx;
+    ctx.gate = &gate;
     core::AutomaticIndexManager aim(&db, optimizer::CostModel(), options);
-    Result<core::AimReport> r = aim.RunOnce(w, nullptr);
+    Result<core::AimReport> r = aim.RunOnce(w, nullptr, ctx);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) return std::string();
     const core::AimReport& report = r.ValueOrDie();

@@ -704,8 +704,8 @@ TEST_F(OnlineTunerTest, TunerInstallsUnderLiveTraffic) {
   core::ContinuousTunerOptions options;
   options.online_apply = true;
   options.aim.validate_on_clone = false;
-  options.online.snapshot_chunk_rows = 32;
-  options.online.max_catchup_rounds = 512;
+  options.aim.online.snapshot_chunk_rows = 32;
+  options.aim.online.max_catchup_rounds = 512;
   core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
   Result<core::IntervalReport> r = tuner.Tick(w.ValueOrDie(), nullptr);
 
