@@ -63,6 +63,11 @@ common::ThreadPool* AutomaticIndexManager::Pool(const TuningContext& ctx) {
              : common::EnsurePool(&pool_, options_.num_threads);
 }
 
+storage::Database* AutomaticIndexManager::Target(
+    const TuningContext& ctx) const {
+  return ctx.apply_db != nullptr ? ctx.apply_db : db_;
+}
+
 Result<AimReport> AutomaticIndexManager::Recommend(
     const workload::Workload& workload,
     const workload::WorkloadMonitor* monitor, const TuningContext& ctx) {
@@ -345,9 +350,11 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
                           &report.stats.validation_seconds);
     if (options_.validate_on_clone && !report.recommended.empty()) {
       // Line 3: materialize on a clone and keep only validated indexes.
+      // The clone is copied from the install target, so the evidence is
+      // about the database that receives the indexes.
       AIM_ASSIGN_OR_RETURN(
           report.validation,
-          ValidateOnClone(*db_, report.recommended,
+          ValidateOnClone(*Target(ctx), report.recommended,
                           report.selected_workload, cm_,
                           RunValidationOptions(options_, ctx), Pool(ctx)));
       report.stats.indexes_rejected_by_validation =
@@ -409,7 +416,7 @@ Result<AimReport> AutomaticIndexManager::RunOnce(
     // delta catch-up + bounded-stall swap, and the rollback is
     // latch-aware so it is safe under live traffic.
     AIM_FAULT_POINT("core.apply");
-    storage::Database* target = ctx.apply_db != nullptr ? ctx.apply_db : db_;
+    storage::Database* target = Target(ctx);
     storage::IndexSetTransaction txn(
         target, ctx.apply_db != nullptr ? &target->latch() : nullptr);
     for (const CandidateIndex& c : report.recommended) {
@@ -471,7 +478,7 @@ Status AutomaticIndexManager::ApplyOrdered(AimReport* report,
   report->deployment.modeled_time_to_half_benefit_seconds =
       plan.TimeToBenefitFraction(0.5);
 
-  storage::Database* target = ctx.apply_db != nullptr ? ctx.apply_db : db_;
+  storage::Database* target = Target(ctx);
   std::vector<CandidateIndex> installed;
   for (const DeploymentStep& s : plan.steps) {
     DeploymentStepResult result;

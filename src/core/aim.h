@@ -47,11 +47,12 @@ struct TuningContext {
   /// quarantined candidates and RunOnce admits the validated set through
   /// `Admit` before applying. Mutated only from RunOnce's serial sections.
   ExplorationGate* gate = nullptr;
-  /// Online-apply target: RunOnce installs the accepted indexes on this
-  /// live database through OnlineIndexBuilder (side-build + delta catch-up
-  /// + bounded-stall swap under its latch()) instead of blocking
-  /// CreateIndex on the tuning database — how the continuous tuner plans
-  /// on a quiesced snapshot while installing under traffic.
+  /// Online-apply target: RunOnce validates against a clone of this live
+  /// database and installs the accepted indexes on it through
+  /// OnlineIndexBuilder (side-build + delta catch-up + bounded-stall swap
+  /// under its latch()) instead of blocking CreateIndex on the tuning
+  /// database — how the continuous tuner plans on a catalog-only copy
+  /// while validating and installing under traffic.
   storage::Database* apply_db = nullptr;
 };
 
@@ -206,7 +207,8 @@ class AutomaticIndexManager {
                               const TuningContext& ctx = {});
 
   /// Full Algorithm 1: recommend, validate on a clone, materialize the
-  /// survivors on the production database (or on `ctx.apply_db`).
+  /// survivors on the production database (or on `ctx.apply_db`, which
+  /// then is also what the clone is copied from).
   Result<AimReport> RunOnce(const workload::Workload& workload,
                             const workload::WorkloadMonitor* monitor,
                             const TuningContext& ctx = {});
@@ -223,6 +225,12 @@ class AutomaticIndexManager {
   /// The context's pool, else the private one sized by `num_threads`
   /// (nullptr in serial mode).
   common::ThreadPool* Pool(const TuningContext& ctx);
+
+  /// The install target, which is also the validation source:
+  /// `ctx.apply_db` when set, else the tuning database. The tuning
+  /// database may then be a catalog-only planning view
+  /// (storage::Database::CatalogOnly); rows are read only from here.
+  storage::Database* Target(const TuningContext& ctx) const;
 
   /// The one install path: builds `def` as an automation index inside
   /// `txn` — online on `ctx.apply_db` (folding the build into `stats`),

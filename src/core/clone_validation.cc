@@ -1,13 +1,16 @@
 #include "core/clone_validation.h"
 
 #include <algorithm>
+#include <mutex>
 #include <set>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/retry.h"
 #include "executor/executor.h"
+#include "obs/trace.h"
 
 namespace aim::core {
 
@@ -28,8 +31,23 @@ Result<CloneValidationResult> ValidateOnClone(
   // `shard.clone.materialize` fault — fails this validation, which the
   // sharding layer reads as "this shard vetoes", not as a crashed run.
   AIM_FAULT_POINT("shard.clone.materialize");
-  storage::Database control = production;
-  storage::Database test = production;
+  // Production is copied once, under a shared latch: live writers wait
+  // for this one copy (readers do not), and the test clone is copied from
+  // the control clone outside the latch.
+  storage::Database control;
+  {
+    obs::Span span(obs::Tracer::Get(), "validation.source_copy");
+    {
+      std::shared_lock<std::shared_mutex> lock(production.latch());
+      control = production;
+    }
+    uint64_t rows = 0;
+    for (catalog::TableId t = 0; t < control.catalog().table_count(); ++t) {
+      rows += control.heap(t).slot_count();
+    }
+    span.SetAttr("rows", rows);
+  }
+  storage::Database test = control;
   std::vector<catalog::IndexDef> defs;
   defs.reserve(selected.size());
   for (const CandidateIndex& c : selected) {

@@ -76,6 +76,12 @@ struct CloneValidationResult {
 /// without regressing any query beyond λ₃ — the paper's "no regression"
 /// guarantee for production.
 ///
+/// `production` is copied once, into the control clone, under a shared
+/// lock of its latch() (the `validation.source_copy` span, with the heap
+/// row slots copied as `rows`); the test clone is copied from the control
+/// clone outside the latch. A live, traffic-bearing database may
+/// therefore be passed directly: its writers wait for one copy.
+///
 /// Candidate materialization on the test clone batches all B+Tree builds
 /// through `storage::Database::CreateIndexes`, fanning the heap scans over
 /// `pool` while keeping catalog registration and adoption serial in

@@ -303,18 +303,20 @@ Status ContinuousTuner::TickInternal(
     const workload::WorkloadMonitor* monitor, TuningContext ctx,
     storage::IndexSetTransaction* txn, IntervalReport* report) {
   AIM_FAULT_POINT("core.tick");
-  // Online mode plans against a point-in-time copy taken under a brief
-  // exclusive latch: Recommend stages hypothetical indexes in the catalog
-  // and validation replays on clones, none of which may touch the live,
-  // traffic-bearing database. Index ids are shared between the snapshot
-  // and the live catalog (only the tuner performs DDL), so GC decisions
-  // made on the snapshot apply to the live database by id.
-  storage::Database snapshot;
-  if (options_.online_apply) {
-    std::unique_lock<std::shared_mutex> lock(db_->latch());
-    snapshot = *db_;
-  }
-  storage::Database* tuning_db = options_.online_apply ? &snapshot : db_;
+  // Planning reads statistics that live writers update, and must not hold
+  // their latch while it runs: online mode plans on a catalog-only copy
+  // taken under a brief shared latch. No planning step reads rows; rows
+  // are copied only when there are candidates to validate, by
+  // ValidateOnClone from the live database. Index ids are shared between
+  // the copy and the live catalog (only the tuner performs DDL), so GC
+  // decisions made on the copy apply to the live database by id.
+  storage::Database view;
+  auto copy_catalog = [&] {
+    std::shared_lock<std::shared_mutex> lock(db_->latch());
+    view = storage::Database::CatalogOnly(db_->catalog());
+  };
+  if (options_.online_apply) copy_catalog();
+  storage::Database* tuning_db = options_.online_apply ? &view : db_;
   // With compression on, usage observation plans one representative per
   // cluster instead of every raw statement (Recommend re-compresses for
   // its own phases; compression is idempotent, so the clusters match).
@@ -368,9 +370,13 @@ Status ContinuousTuner::TickInternal(
       narrower.columns.resize(state.max_used_prefix);
       narrower.id = catalog::kInvalidIndex;
       narrower.name.clear();
-      if (tuning_db->catalog().FindIndex(narrower.table, narrower.columns) !=
-          nullptr) {
-        continue;  // the prefix already exists as its own index
+      {
+        // Looked up live: this loop's earlier drops and shrinks are there.
+        std::shared_lock<std::shared_mutex> lock(db_->latch());
+        if (db_->catalog().FindIndex(narrower.table, narrower.columns) !=
+            nullptr) {
+          continue;  // the prefix already exists as its own index
+        }
       }
       catalog::IndexDef old = *idx;
       // Build the narrower index before dropping the wide one: if the
@@ -406,7 +412,10 @@ Status ContinuousTuner::TickInternal(
     ctx.candidate_cache = candidate_cache_.get();
   }
   ctx.gate = gate_.get();
-  // Online: plan on the snapshot, install on the live database.
+  // Online: plan on a fresh catalog copy, taken after the GC changes went
+  // to the live database so that it is the configuration a blocking tick
+  // plans on; validate and install on the live database.
+  if (options_.online_apply) copy_catalog();
   ctx.apply_db = options_.online_apply ? db_ : nullptr;
   AutomaticIndexManager aim(tuning_db, cm_, options_.aim);
   AIM_ASSIGN_OR_RETURN(report->aim, aim.RunOnce(workload, monitor, ctx));

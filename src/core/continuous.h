@@ -52,13 +52,15 @@ struct ContinuousTunerOptions {
   /// tenants, concurrent processes) may share one configured path without
   /// torn or clobbered snapshots.
   std::string cache_snapshot_path;
-  /// Tune a live, traffic-bearing database. Each Tick then plans and
-  /// validates against a snapshot copied under a brief exclusive
-  /// acquisition of the database latch(), while accepted indexes install
-  /// on the live database through OnlineIndexBuilder (side-build + delta
-  /// catch-up + bounded-stall swap) and GC drops go through a latch-aware
-  /// transaction. Requires every concurrent writer/reader to follow the
-  /// Database latch() protocol. Build knobs live at `aim.online`.
+  /// Tune a live, traffic-bearing database. Each Tick then plans on a
+  /// catalog-only copy taken under a shared acquisition of the database
+  /// latch(); only a tick with candidates to validate copies table data,
+  /// once, under the same shared latch (see ValidateOnClone). Accepted
+  /// indexes install on the live database through OnlineIndexBuilder
+  /// (side-build + delta catch-up + bounded-stall swap) and GC drops go
+  /// through a latch-aware transaction. Requires every concurrent
+  /// writer/reader to follow the Database latch() protocol. Build knobs
+  /// live at `aim.online`.
   bool online_apply = false;
   /// Bandit-guarded exploration (see ExplorationGate). When enabled the
   /// tuner owns a gate: quarantined candidates are excluded from
@@ -166,8 +168,8 @@ class ContinuousTuner {
 
   /// Plans every workload query against `db`'s real configuration and
   /// records which indexes (and how many leading key parts) are used.
-  /// `db` is the tuning view: the live database in classic mode, the
-  /// interval's snapshot in online mode.
+  /// `db` is the tuning view: the live database in classic mode, a
+  /// catalog-only copy of it in online mode.
   void ObserveUsage(const workload::Workload& workload,
                     const storage::Database& db);
 

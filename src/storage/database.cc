@@ -24,6 +24,13 @@ void Database::CopyFrom(const Database& other) {
   btrees_ = other.btrees_;
 }
 
+Database Database::CatalogOnly(catalog::Catalog catalog) {
+  Database view;
+  view.heaps_.resize(catalog.table_count());
+  view.catalog_ = std::move(catalog);
+  return view;
+}
+
 int Database::RegisterDmlHook(DmlHook hook) {
   const int token = next_hook_token_++;
   dml_hooks_.emplace_back(token, std::move(hook));

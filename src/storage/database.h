@@ -50,6 +50,13 @@ class Database {
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
 
+  /// A planning view: a copy of `catalog` (schema, statistics, index
+  /// definitions) over empty heaps and no B+Trees. Everything that reads
+  /// only the catalog (what-if planning, usage observation, explanations)
+  /// works on it; nothing that reads rows (executors, clone validation)
+  /// may be given one.
+  static Database CatalogOnly(catalog::Catalog catalog);
+
   catalog::Catalog& catalog() { return catalog_; }
   const catalog::Catalog& catalog() const { return catalog_; }
 

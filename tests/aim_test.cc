@@ -14,6 +14,7 @@
 namespace aim::core {
 namespace {
 
+using aim::testing::IntervalSignature;
 using aim::testing::MakeOrdersDb;
 using aim::testing::MakeUsersDb;
 
@@ -454,47 +455,6 @@ TEST(ContinuousTest, CacheSnapshotWarmStartsAcrossTunerInstances) {
 
 // ---------------------------------------------------------------------------
 // TuningContext: lent resources never change a decision
-
-/// Everything one interval decided and measured, plus the run's cache
-/// activity. Leaves out wall-clock fields and the tuner-side bookkeeping
-/// of its own carried cache (`cache_entries_carried`, `cache_invalidated`),
-/// which describes a cache a lending caller replaces.
-std::string IntervalSignature(const IntervalReport& r) {
-  std::ostringstream out;
-  out << std::hexfloat;
-  out << "degraded=" << r.degraded << " error=" << r.error.ToString()
-      << "\n";
-  auto def = [&out](const char* what, const catalog::IndexDef& d) {
-    out << what << " t" << d.table;
-    for (catalog::ColumnId c : d.columns) out << "," << c;
-  };
-  for (const CandidateIndex& c : r.aim.recommended) {
-    def("applied", c.def);
-    out << " b=" << c.benefit << " m=" << c.maintenance << "\n";
-  }
-  for (const catalog::IndexDef& d : r.dropped) {
-    def("dropped", d);
-    out << "\n";
-  }
-  for (const auto& [old_def, new_def] : r.shrunk) {
-    def("shrunk", old_def);
-    def(" to", new_def);
-    out << "\n";
-  }
-  for (const QueryValidation& q : r.aim.validation.per_query) {
-    out << "q " << q.fingerprint << " " << q.cpu_before << " "
-        << q.cpu_after << " " << q.regressed << q.improved << "\n";
-  }
-  const AimRunStats& st = r.aim.stats;
-  out << "whatif=" << st.what_if_calls << " hits=" << st.cache_hits
-      << " misses=" << st.cache_misses << " evict=" << st.cache_evictions
-      << " at_start=" << st.cache_entries_at_start
-      << " candidates=" << st.candidates_evaluated
-      << " clusters=" << st.candgen_clusters_total << "/"
-      << st.candgen_clusters_reused << "/" << st.candgen_clusters_recomputed
-      << "\n";
-  return out.str();
-}
 
 struct ContextRun {
   std::string transcript;

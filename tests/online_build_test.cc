@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <set>
 #include <shared_mutex>
@@ -20,6 +21,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/continuous.h"
+#include "obs/trace.h"
 #include "storage/database.h"
 #include "storage/online_index_builder.h"
 #include "tests/test_util.h"
@@ -28,6 +30,7 @@
 namespace aim {
 namespace {
 
+using aim::testing::IntervalSignature;
 using aim::testing::MakeUsersDb;
 using storage::Database;
 using storage::OnlineBuildOptions;
@@ -687,44 +690,220 @@ TEST_F(OnlineTunerTest, AbortedBuildDegradesIntervalConfigUntouched) {
 }
 
 // The headline integration: a full tuning interval against a live,
-// traffic-bearing TPC-C database. The tick plans on a snapshot, installs
+// traffic-bearing TPC-C database. The tick plans on a catalog copy, installs
 // online, and every installed index is consistent with the moving heap.
 TEST_F(OnlineTunerTest, TunerInstallsUnderLiveTraffic) {
+  // With validation on, the tick also copies the live database for its
+  // clones, under a shared latch while the writers run.
+  for (const bool validate : {false, true}) {
+    SCOPED_TRACE(validate ? "validate_on_clone" : "no validation");
+    workload::TpccConfig cfg;
+    cfg.initial_orders_per_district = 25;  // enough rows to justify indexes
+    workload::TpccDatabase tpcc(cfg);
+    ASSERT_TRUE(tpcc.Load().ok());
+    Result<workload::Workload> w = tpcc.AnalyticalWorkload();
+    ASSERT_TRUE(w.ok());
+
+    common::ThreadPool pool(4);
+    workload::OltpDriver driver(&tpcc, &pool, /*clients=*/3, /*seed=*/59);
+    ASSERT_TRUE(driver.Start().ok());
+
+    core::ContinuousTunerOptions options;
+    options.online_apply = true;
+    options.aim.validate_on_clone = validate;
+    options.aim.online.snapshot_chunk_rows = 32;
+    options.aim.online.max_catchup_rounds = 512;
+    core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
+    Result<core::IntervalReport> r = tuner.Tick(w.ValueOrDie(), nullptr);
+
+    workload::OltpStats stats = driver.Stop();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const core::IntervalReport& report = r.ValueOrDie();
+    EXPECT_FALSE(report.degraded)
+        << report.error.ToString();
+    EXPECT_EQ(stats.errors, 0u);
+    EXPECT_EQ(tpcc.db().dml_hook_count(), 0u);
+    if (validate) EXPECT_GT(report.aim.validation.executed, 0u);
+    EXPECT_EQ(report.aim.stats.online_builds,
+              report.aim.recommended.size());
+    for (const core::CandidateIndex& c : report.aim.recommended) {
+      const catalog::IndexDef* idx =
+          tpcc.db().catalog().FindIndex(c.def.table, c.def.columns);
+      ASSERT_NE(idx, nullptr);
+      catalog::IndexDef check = *idx;
+      EXPECT_TRUE(CheckAllOrNothing(tpcc.db(), check));
+    }
+  }
+}
+
+/// Ten ticks of a seeded drift schedule on a quiesced TPC-C database with
+/// clone validation on. Tick 0 installs a two-column order_line index and
+/// a stock index. From tick 1 the order_line query filters on the first
+/// key column only, so the index shrinks at tick 2; the stock query goes
+/// away, so its index is dropped at tick 2, the tick an orders query
+/// arrives and gets its index. Ticks 2 and 3 also update the stock
+/// index's key column, so validation evidence shows whether the dropped
+/// index is still on the validated clone. The stock query returns at
+/// tick 4 and the orders query leaves at tick 5 (its index is dropped at
+/// tick 6).
+std::vector<std::string> RunDriftSchedule(bool online, uint64_t seed) {
   workload::TpccConfig cfg;
-  cfg.initial_orders_per_district = 25;  // enough rows to justify indexes
+  cfg.districts_per_warehouse = 8;
+  cfg.customers_per_district = 60;
+  cfg.initial_orders_per_district = 60;
   workload::TpccDatabase tpcc(cfg);
-  ASSERT_TRUE(tpcc.Load().ok());
-  Result<workload::Workload> w = tpcc.AnalyticalWorkload();
-  ASSERT_TRUE(w.ok());
+  EXPECT_TRUE(tpcc.Load().ok());
+  core::ContinuousTunerOptions options;
+  options.online_apply = online;
+  options.aim.validate_on_clone = true;
+  options.drop_after_idle_intervals = 2;
+  options.shrink_after_idle_intervals = 2;
+  core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
 
-  common::ThreadPool pool(4);
-  workload::OltpDriver driver(&tpcc, &pool, /*clients=*/3, /*seed=*/59);
-  ASSERT_TRUE(driver.Start().ok());
+  Rng rng(seed);
+  auto literal = [&rng](int64_t lo, int64_t hi) {
+    return std::to_string(rng.UniformRange(lo, hi));
+  };
+  const std::string i_id = literal(0, 99);
+  const std::string ol_both =
+      "SELECT ol_o_id FROM order_line WHERE ol_i_id = " + i_id +
+      " AND ol_quantity = " + literal(1, 10);
+  const std::string ol_prefix =
+      "SELECT * FROM order_line WHERE ol_i_id = " + i_id;
+  const std::string stock =
+      "SELECT s_i_id, s_quantity FROM stock WHERE s_quantity < " +
+      literal(15, 30);
+  const std::string orders = "SELECT o_id FROM orders WHERE o_c_id = " +
+                             literal(1, 60) + " AND o_entry_d > " +
+                             literal(20, 80);
+  // Writes the key of the stock index: while that index exists, every
+  // replay of this statement pays its maintenance.
+  // (Loaded quantities are 10..100, so the key really changes.)
+  const std::string stock_update = "UPDATE stock SET s_quantity = " +
+                                   literal(1, 9) +
+                                   " WHERE s_w_id = 1 AND s_i_id = " +
+                                   literal(0, 99);
+  const std::vector<std::vector<std::string>> phases = {
+      {ol_both, stock},
+      {ol_prefix},
+      {ol_prefix, orders, stock_update},
+      {ol_prefix, orders, stock_update},
+      {ol_prefix, orders, stock},
+      {ol_prefix, stock},
+      {ol_prefix, stock},
+      {ol_prefix, stock},
+      {ol_prefix, stock},
+      {ol_prefix, stock}};
+  std::map<std::string, double> weights;
+  for (const std::string& q :
+       {ol_both, ol_prefix, stock, orders, stock_update}) {
+    weights[q] = static_cast<double>(rng.UniformRange(5, 20));
+  }
 
+  std::vector<std::string> transcript;
+  for (const std::vector<std::string>& phase : phases) {
+    workload::Workload w;
+    for (const std::string& q : phase) {
+      EXPECT_TRUE(w.Add(q, weights[q]).ok());
+    }
+    Result<core::IntervalReport> r = tuner.Tick(w, nullptr);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return transcript;
+    transcript.push_back(IntervalSignature(r.ValueOrDie()));
+  }
+  return transcript;
+}
+
+// A quiesced online tick makes exactly the decisions a blocking tick
+// makes: it plans on a post-GC catalog copy and validates on a clone of
+// the live database, the same configuration and data a blocking tick
+// uses, so applied/dropped/shrunk sets and per-query evidence agree.
+TEST_F(OnlineTunerTest, QuiescedOnlineTickMatchesBlocking) {
+  const std::vector<std::string> blocking =
+      RunDriftSchedule(/*online=*/false, /*seed=*/13);
+  const std::vector<std::string> online =
+      RunDriftSchedule(/*online=*/true, /*seed=*/13);
+  ASSERT_EQ(blocking.size(), 10u);
+  ASSERT_EQ(online.size(), blocking.size());
+  for (size_t t = 0; t < blocking.size(); ++t) {
+    EXPECT_EQ(online[t], blocking[t]) << "tick " << t;
+  }
+  // The schedule must cover what it claims, or the equality proves
+  // little: a drop, a shrink, validation evidence, and a tick where GC
+  // and a new install coincide.
+  bool dropped = false, shrunk = false, validated = false, both = false;
+  for (const std::string& tick : blocking) {
+    const bool gc = tick.find("dropped") != std::string::npos ||
+                    tick.find("shrunk") != std::string::npos;
+    dropped = dropped || tick.find("dropped") != std::string::npos;
+    shrunk = shrunk || tick.find("shrunk") != std::string::npos;
+    validated = validated || tick.find("\nq ") != std::string::npos;
+    both = both || (gc && tick.find("applied") != std::string::npos);
+  }
+  EXPECT_TRUE(dropped);
+  EXPECT_TRUE(shrunk);
+  EXPECT_TRUE(validated);
+  EXPECT_TRUE(both);
+  if (::testing::Test::HasFailure()) {
+    for (size_t t = 0; t < blocking.size(); ++t) {
+      ADD_FAILURE() << "blocking tick " << t << ":\n" << blocking[t];
+    }
+  }
+}
+
+// Stall attribution: the only rows an online tick copies are the
+// validation source copy, one per tick that has candidates to validate.
+// Three ticks of one workload: the first validates and installs, the
+// next two find nothing new and copy no rows.
+TEST_F(OnlineTunerTest, OnlyValidatingTicksCopyRows) {
+  const Database base = MakeUsersDb(2000);
+  workload::Workload w;
+  ASSERT_TRUE(w.Add("SELECT id FROM users WHERE org_id = 1", 10.0).ok());
   core::ContinuousTunerOptions options;
   options.online_apply = true;
-  options.aim.validate_on_clone = false;
-  options.aim.online.snapshot_chunk_rows = 32;
-  options.aim.online.max_catchup_rounds = 512;
-  core::ContinuousTuner tuner(&tpcc.db(), optimizer::CostModel(), options);
-  Result<core::IntervalReport> r = tuner.Tick(w.ValueOrDie(), nullptr);
+  options.aim.validate_on_clone = true;
+  auto run = [&](obs::Tracer* tracer) {
+    Database db = base;
+    core::ContinuousTuner tuner(&db, optimizer::CostModel(), options);
+    obs::Tracer::Install(tracer);
+    std::vector<std::string> transcript;
+    for (int t = 0; t < 3; ++t) {
+      Result<core::IntervalReport> r = tuner.Tick(w, nullptr);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) transcript.push_back(IntervalSignature(r.ValueOrDie()));
+    }
+    obs::Tracer::Install(nullptr);
+    return transcript;
+  };
+  obs::Tracer tracer(obs::Tracer::Clock::kVirtual);
+  const std::vector<std::string> traced = run(&tracer);
+  const std::vector<std::string> untraced = run(nullptr);
+  EXPECT_EQ(traced, untraced);
+  ASSERT_EQ(traced.size(), 3u);
+  EXPECT_NE(traced[0].find("applied"), std::string::npos);
+  ASSERT_TRUE(tracer.CheckBalanced().ok());
 
-  workload::OltpStats stats = driver.Stop();
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const core::IntervalReport& report = r.ValueOrDie();
-  EXPECT_FALSE(report.degraded)
-      << report.error.ToString();
-  EXPECT_EQ(stats.errors, 0u);
-  EXPECT_EQ(tpcc.db().dml_hook_count(), 0u);
-  EXPECT_EQ(report.aim.stats.online_builds,
-            report.aim.recommended.size());
-  for (const core::CandidateIndex& c : report.aim.recommended) {
-    const catalog::IndexDef* idx =
-        tpcc.db().catalog().FindIndex(c.def.table, c.def.columns);
-    ASSERT_NE(idx, nullptr);
-    catalog::IndexDef check = *idx;
-    EXPECT_TRUE(CheckAllOrNothing(tpcc.db(), check));
+  const std::vector<obs::Tracer::SpanRecord> spans = tracer.Snapshot();
+  std::map<uint64_t, const obs::Tracer::SpanRecord*> by_id;
+  std::vector<uint64_t> ticks;
+  std::vector<const obs::Tracer::SpanRecord*> copies;
+  for (const obs::Tracer::SpanRecord& s : spans) {
+    by_id[s.id] = &s;
+    if (s.name == "tuner.tick") ticks.push_back(s.id);
+    if (s.name == "validation.source_copy") copies.push_back(&s);
   }
+  ASSERT_EQ(ticks.size(), 3u);
+  ASSERT_EQ(copies.size(), 1u);
+  uint64_t ancestor = copies[0]->parent;
+  while (ancestor != 0 && by_id.at(ancestor)->name != "tuner.tick") {
+    ancestor = by_id.at(ancestor)->parent;
+  }
+  EXPECT_EQ(ancestor, ticks[0]);
+  std::string rows;
+  for (const obs::TraceAttr& a : copies[0]->attrs) {
+    if (a.key == "rows") rows = a.value;
+  }
+  EXPECT_EQ(rows, "2000");
 }
 
 }  // namespace

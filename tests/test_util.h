@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/continuous.h"
 #include "executor/executor.h"
 #include "sql/parser.h"
 #include "storage/data_generator.h"
@@ -69,6 +71,50 @@ inline std::multiset<std::string> RowFingerprints(
     keys.insert(std::move(k));
   }
   return keys;
+}
+
+/// Everything one tuner interval decided and measured, plus the run's
+/// cache activity: the transcript differential tuner tests compare.
+/// Indexes are named by (table, key columns), never by id, so catalogs
+/// that number their slots differently still compare equal. Leaves out
+/// wall-clock fields and the tuner-side bookkeeping of its own carried
+/// cache (`cache_entries_carried`, `cache_invalidated`), which describes a
+/// cache a lending caller replaces.
+inline std::string IntervalSignature(const core::IntervalReport& r) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  out << "degraded=" << r.degraded << " error=" << r.error.ToString()
+      << "\n";
+  auto def = [&out](const char* what, const catalog::IndexDef& d) {
+    out << what << " t" << d.table;
+    for (catalog::ColumnId c : d.columns) out << "," << c;
+  };
+  for (const core::CandidateIndex& c : r.aim.recommended) {
+    def("applied", c.def);
+    out << " b=" << c.benefit << " m=" << c.maintenance << "\n";
+  }
+  for (const catalog::IndexDef& d : r.dropped) {
+    def("dropped", d);
+    out << "\n";
+  }
+  for (const auto& [old_def, new_def] : r.shrunk) {
+    def("shrunk", old_def);
+    def(" to", new_def);
+    out << "\n";
+  }
+  for (const core::QueryValidation& q : r.aim.validation.per_query) {
+    out << "q " << q.fingerprint << " " << q.cpu_before << " "
+        << q.cpu_after << " " << q.regressed << q.improved << "\n";
+  }
+  const core::AimRunStats& st = r.aim.stats;
+  out << "whatif=" << st.what_if_calls << " hits=" << st.cache_hits
+      << " misses=" << st.cache_misses << " evict=" << st.cache_evictions
+      << " at_start=" << st.cache_entries_at_start
+      << " candidates=" << st.candidates_evaluated
+      << " clusters=" << st.candgen_clusters_total << "/"
+      << st.candgen_clusters_reused << "/" << st.candgen_clusters_recomputed
+      << "\n";
+  return out.str();
 }
 
 }  // namespace aim::testing

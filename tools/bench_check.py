@@ -18,6 +18,10 @@ Validates the performance contracts the benchmarks exist to defend:
                         transaction apply, per-interval projected regret
                         stays within budget (top-1 admission excepted),
                         and zero quarantined indexes were ever applied.
+  online_build          an online tuner tick with nothing to validate
+                        copies 0 table rows under the latch, and the
+                        measurement is live: some tick validated
+                        candidates and copied rows, and some did not.
 
 Speedup gates that depend on parallel hardware condition on the
 `run_meta.hardware_concurrency` every bench records (which is why that
@@ -122,11 +126,31 @@ def gate_exploration(results):
           f"applied)")
 
 
+def gate_online_build(results):
+    s = results["online_build"]
+    require_run_meta(results, "online_build")
+    ticks = s.get("ticks", [])
+    idle = [t for t in ticks if t.get("validated_candidates", 0) == 0]
+    validating = [t for t in ticks if t.get("validated_candidates", 0) > 0]
+    copied = [t.get("rows_copied", -1) for t in idle]
+    check("online_build", "idle_tick_rows_copied",
+          len(idle) > 0 and all(rows == 0 for rows in copied),
+          f"{copied} over {len(idle)} tick(s) with nothing to validate "
+          f"(each must copy 0 rows)")
+    check("online_build", "validating_tick_rows_copied",
+          len(validating) > 0 and
+          all(t.get("rows_copied", 0) > 0 for t in validating),
+          f"{[t.get('rows_copied') for t in validating]} over "
+          f"{len(validating)} validating tick(s) (each must copy its "
+          f"source once, > 0 rows)")
+
+
 GATES = {
     "fleet_tuning": gate_fleet,
     "workload_compression": gate_compression,
     "executor_batch": gate_executor,
     "exploration": gate_exploration,
+    "online_build": gate_online_build,
 }
 
 
